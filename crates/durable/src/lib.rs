@@ -2,9 +2,10 @@
 //!
 //! The persistence substrate behind the origin's crash recoverability: a
 //! **segmented append-only log** with length-prefixed, CRC-stamped records,
-//! group-commit batched appends, compacting snapshots, and a recovery scan
-//! that truncates at the first torn or corrupt record — in the spirit of
-//! sapling's `lib/indexedlog`, sized for this middleware.
+//! leader/follower group commit that fsyncs outside the log's lock,
+//! compacting snapshots, and a recovery scan that truncates at the first
+//! torn or corrupt record — in the spirit of sapling's `lib/indexedlog`,
+//! sized for this middleware.
 //!
 //! The design contract, in one paragraph: a record handed to
 //! [`Log::append`] is *durable* once [`Log::commit`] (or
@@ -27,7 +28,9 @@
 //! Metrics: [`Log::register_metrics`] exposes the `durable_*` counter
 //! families (`durable_appends`, `durable_bytes`, `durable_fsyncs`,
 //! `durable_recoveries`, `durable_truncated_records`, plus
-//! `durable_snapshots`).
+//! `durable_snapshots`) and two histograms: `durable_group_records`
+//! (records made durable per group-commit fsync) and `durable_fsync_ns`
+//! (wall-clock fsync latency).
 //!
 //! [`TempDir`] is the workspace's tempdir guard: every test and bench rig
 //! that creates durable state routes its paths through one so an assert or

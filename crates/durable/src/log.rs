@@ -22,21 +22,49 @@
 //!
 //! ## Commit protocol
 //!
-//! [`Log::append`] assigns an LSN and stages the framed record in memory;
-//! [`Log::commit`] writes *all* staged records with one `write` + one
-//! `fsync` (group commit: concurrent appenders that stage before the
-//! flusher reaches the file ride the same fsync, and a follower whose LSN
-//! is already durable returns without touching the disk).
-//! [`Log::append_durable`] is the two fused for callers without batching
-//! ambitions.
+//! Leader/follower group commit, pipelined the way Aether pipelines log
+//! flushes (Johnson et al., "Aether: A Scalable Approach to Logging",
+//! VLDB 2010): records are staged under a short lock and synced outside
+//! it.
+//!
+//! * [`Log::append`] computes the record's CRC before taking the lock and
+//!   holds the lock only to assign the LSN and copy the frame into the
+//!   staging buffer. Appends keep staging while a flush is in flight.
+//! * [`Log::commit_through`] returns at once when its LSN is already
+//!   durable. Otherwise the first caller that finds no flush in flight
+//!   becomes the **leader**: under the lock it swaps the staging buffer
+//!   for the previous group's cleared one (double buffering keeps both
+//!   capacities), marks a flush in flight and drops the lock. It then
+//!   writes the whole group with one `write` and one `fsync`, re-locks,
+//!   publishes the new durable horizon and the group's index entries,
+//!   and wakes every waiter on the flush condvar.
+//! * A **follower** waits on that condvar until its LSN is durable, or
+//!   until no flush is in flight, in which case its record was staged
+//!   after the last leader's take and it leads the next group itself.
+//!   The next group thus fills while the current one's fsync runs.
+//! * Only one write is ever in flight, so the byte stream reaching the
+//!   files, and with it [`CrashPoint`] admission and the shape of a torn
+//!   tail, is that of a single flusher. A group whose write or fsync
+//!   fails publishes nothing: its followers get the error, never `Ok`.
+//!   A real I/O failure leaves the file's tail unknown, so the log then
+//!   refuses all further work until it is reopened.
+//! * The leader rolls the segment at its take step: when the active
+//!   segment has reached `segment_bytes`, the group is written to a new
+//!   segment whose base is the group's first LSN.
+//! * [`Log::commit`], [`Log::write_snapshot`] and [`Log::arm_crash`] wait
+//!   for the quiet state (no flush in flight) before they act.
+//!
+//! [`Log::append_durable`] is append and commit-through fused for callers
+//! without batching ambitions.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
-use brmi_obs::{Counter, Registry};
+use brmi_obs::{Counter, Histogram, Registry};
 
 use crate::crash::CrashPoint;
 
@@ -47,7 +75,7 @@ const HEADER_BYTES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogConfig {
     /// Seal the active segment and start a new one once it holds at least
-    /// this many bytes (checked after each commit).
+    /// this many bytes (checked when the next group is taken).
     pub segment_bytes: u64,
     /// Recovery treats any frame announcing a payload larger than this as
     /// corrupt (a torn length field can claim gigabytes).
@@ -143,13 +171,6 @@ struct RecordLoc {
     frame_len: u32,
 }
 
-/// A record staged by `append` but not yet flushed.
-#[derive(Debug, Clone, Copy)]
-struct StagedMeta {
-    lsn: u64,
-    loc: RecordLoc,
-}
-
 #[derive(Debug)]
 struct SealedSeg {
     base: u64,
@@ -161,17 +182,27 @@ struct Inner {
     dir: PathBuf,
     config: LogConfig,
     crash: Arc<CrashPoint>,
-    /// Active segment file, positioned at its end.
-    file: File,
+    /// Active segment file, positioned at its end. The flush leader
+    /// writes through a clone of the handle with the lock released.
+    file: Arc<File>,
     seg_base: u64,
     seg_records: u64,
     seg_bytes: u64,
     sealed: Vec<SealedSeg>,
-    /// Framed records awaiting the next commit.
-    pending: Vec<u8>,
-    pending_meta: Vec<StagedMeta>,
+    /// Framed records awaiting the next group: LSNs `next_lsn -
+    /// staged_lens.len()..next_lsn`, in order.
+    staged: Vec<u8>,
+    /// Frame length of each staged record.
+    staged_lens: Vec<u32>,
+    /// The last group's buffers, cleared and kept for their capacity.
+    spare: Vec<u8>,
+    spare_lens: Vec<u32>,
     next_lsn: u64,
     durable_lsn: u64,
+    /// A leader is writing and syncing a group with the lock released.
+    flushing: bool,
+    /// A group write or fsync failed with a real I/O error.
+    failed: bool,
     /// `next_lsn` of the latest snapshot (0 when none).
     snapshot_floor: u64,
     /// lsn → location, for every durable record still on disk.
@@ -183,12 +214,16 @@ struct Inner {
 /// durability contract.
 pub struct Log {
     inner: Mutex<Inner>,
+    /// Signalled whenever a leader finishes its group.
+    flushed: Condvar,
     appends: Counter,
     bytes: Counter,
     fsyncs: Counter,
     recoveries: Counter,
     truncated: Counter,
     snapshots: Counter,
+    group_records: Histogram,
+    fsync_ns: Histogram,
 }
 
 impl std::fmt::Debug for Log {
@@ -197,18 +232,38 @@ impl std::fmt::Debug for Log {
     }
 }
 
-/// The IEEE CRC-32 (polynomial `0xEDB88320`), bitwise — slow and
-/// dependency-free, plenty for journal-sized records.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight polynomial steps.
+const CRC_TABLE: [u32; 256] = crc_table();
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0_u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
+        table[byte] = crc;
+        byte += 1;
     }
-    !crc
+    table
+}
+
+/// The IEEE CRC-32 (polynomial `0xEDB88320`), one table lookup per byte.
+pub fn crc32(data: &[u8]) -> u32 {
+    !data.iter().fold(0xFFFF_FFFF_u32, |crc, &byte| {
+        CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
 
 fn seg_path(dir: &Path, base: u64) -> PathBuf {
@@ -226,10 +281,17 @@ fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).expect("record payload over 4 GiB");
+/// Frame length of a record carrying `payload`.
+fn frame_len(payload: &[u8]) -> u32 {
+    u32::try_from(HEADER_BYTES + payload.len()).expect("record payload over 4 GiB")
+}
+
+/// Appends the frame of a record whose payload CRC is `crc`; callers
+/// bound the payload length with [`frame_len`] first.
+fn put_frame(out: &mut Vec<u8>, crc: u32, payload: &[u8]) {
+    let len = payload.len() as u32;
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -405,24 +467,31 @@ impl Log {
                 dir,
                 config,
                 crash,
-                file,
+                file: Arc::new(file),
                 seg_base,
                 seg_records,
                 seg_bytes,
                 sealed,
-                pending: Vec::new(),
-                pending_meta: Vec::new(),
+                staged: Vec::new(),
+                staged_lens: Vec::new(),
+                spare: Vec::new(),
+                spare_lens: Vec::new(),
                 next_lsn,
                 durable_lsn: next_lsn,
+                flushing: false,
+                failed: false,
                 snapshot_floor,
                 index,
             }),
+            flushed: Condvar::new(),
             appends: Counter::new(),
             bytes: Counter::new(),
             fsyncs: Counter::new(),
             recoveries: Counter::new(),
             truncated: Counter::new(),
             snapshots: Counter::new(),
+            group_records: Histogram::new(),
+            fsync_ns: Histogram::new(),
         };
         log.recoveries.inc();
         log.truncated.add(truncated_records);
@@ -440,46 +509,46 @@ impl Log {
     /// record is **not durable** until a [`Log::commit`] (or
     /// [`Log::append_durable`]) covering that LSN returns.
     pub fn append(&self, payload: &[u8]) -> Result<u64, LogError> {
+        let frame_len = frame_len(payload);
+        let crc = crc32(payload);
         let mut g = self.lock();
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
+        g.check_live()?;
         let lsn = g.next_lsn;
         g.next_lsn += 1;
-        let offset = g.seg_bytes + g.pending.len() as u64;
-        let before = g.pending.len();
-        frame_record(&mut g.pending, payload);
-        let frame_len = (g.pending.len() - before) as u32;
-        let seg_base = g.seg_base;
-        g.pending_meta.push(StagedMeta {
-            lsn,
-            loc: RecordLoc {
-                seg_base,
-                offset,
-                frame_len,
-            },
-        });
+        put_frame(&mut g.staged, crc, payload);
+        g.staged_lens.push(frame_len);
+        drop(g);
         self.appends.inc();
         Ok(lsn)
     }
 
-    /// Group commit: flushes every staged record with one write and one
-    /// fsync, then returns the new durable LSN horizon (all LSNs below it
-    /// are durable). A no-op when nothing is pending.
+    /// Group commit: once no flush is in flight, flushes every staged
+    /// record with one write and one fsync, then returns the new durable
+    /// LSN horizon (all LSNs below it are durable). A no-op when nothing
+    /// is staged.
     pub fn commit(&self) -> Result<u64, LogError> {
-        let mut g = self.lock();
-        self.flush_locked(&mut g)?;
+        let g = self.quiet();
+        g.check_live()?;
+        let (g, result) = self.lead(g);
+        result?;
         Ok(g.durable_lsn)
     }
 
-    /// Makes `lsn` durable; returns immediately if a concurrent committer
-    /// already flushed past it (the group-commit fast path).
+    /// Makes `lsn` durable: returns at once if it already is, waits for an
+    /// in-flight group that may cover it, and otherwise leads the next
+    /// group (see the [module docs](self)).
     pub fn commit_through(&self, lsn: u64) -> Result<(), LogError> {
         let mut g = self.lock();
-        if g.durable_lsn > lsn {
-            return Ok(());
+        loop {
+            if g.durable_lsn > lsn {
+                return Ok(());
+            }
+            g.check_live()?;
+            if !g.flushing {
+                return self.lead(g).1;
+            }
+            g = self.flushed.wait(g).expect("durable log poisoned");
         }
-        self.flush_locked(&mut g)
     }
 
     /// [`Log::append`] + [`Log::commit_through`] fused: returns once the
@@ -492,11 +561,13 @@ impl Log {
 
     /// Writes a compacted snapshot claiming to capture all effects of
     /// LSNs `< next_lsn`, then garbage-collects segments (and older
-    /// snapshots) fully covered by it. Pending records are committed
+    /// snapshots) fully covered by it. Staged records are committed
     /// first so the claim can only cover durable history.
     pub fn write_snapshot(&self, next_lsn: u64, payload: &[u8]) -> Result<(), LogError> {
-        let mut g = self.lock();
-        self.flush_locked(&mut g)?;
+        let g = self.quiet();
+        g.check_live()?;
+        let (mut g, result) = self.lead(g);
+        result?;
         assert!(
             next_lsn <= g.durable_lsn,
             "snapshot claims undurable lsn {} (durable horizon {})",
@@ -509,18 +580,17 @@ impl Log {
 
         // Frame, write to a .tmp sibling, fsync, rename: the final file
         // is either absent or complete.
-        let mut framed = Vec::with_capacity(HEADER_BYTES + payload.len());
-        frame_record(&mut framed, payload);
+        let mut framed = Vec::with_capacity(frame_len(payload) as usize);
+        put_frame(&mut framed, crc32(payload), payload);
         let final_path = snap_path(&g.dir, next_lsn);
         let tmp_path = final_path.with_extension("snap.tmp");
         {
-            let mut tmp = File::create(&tmp_path)?;
-            self.write_crashing(&g.crash, &mut tmp, &framed)?;
+            let tmp = File::create(&tmp_path)?;
+            self.write_crashing(&g.crash, &tmp, &framed)?;
             if g.crash.is_crashed() {
                 return Err(LogError::Crashed);
             }
-            tmp.sync_data()?;
-            self.fsyncs.inc();
+            self.sync(&tmp)?;
         }
         fs::rename(&tmp_path, &final_path)?;
         self.sync_dir(&g.dir)?;
@@ -530,7 +600,12 @@ impl Log {
         // Seal the active segment so future appends land past the floor
         // and the GC below can eventually reclaim it.
         if g.seg_records > 0 {
-            self.rotate_locked(&mut g)?;
+            if g.crash.is_crashed() {
+                return Err(LogError::Crashed);
+            }
+            let base = g.durable_lsn;
+            let file = self.create_segment(&g.dir, base)?;
+            g.install_segment(file, base);
         }
 
         // Reclaim segments whose every record the snapshot covers, and
@@ -606,10 +681,10 @@ impl Log {
         self.lock().sealed.len() + 1
     }
 
-    /// Replaces the armed crash point (tests arm a fresh one per run on a
-    /// log opened crash-free).
+    /// Replaces the armed crash point once no flush is in flight (tests
+    /// arm a fresh one per run on a log opened crash-free).
     pub fn arm_crash(&self, point: Arc<CrashPoint>) {
-        self.lock().crash = point;
+        self.quiet().crash = point;
     }
 
     /// True once the armed crash point has struck.
@@ -629,10 +704,13 @@ impl Log {
         }
     }
 
-    /// Registers the log's counters with `registry` under the `durable_*`
-    /// families: `durable_appends`, `durable_bytes`, `durable_fsyncs`,
-    /// `durable_recoveries`, `durable_truncated_records`,
-    /// `durable_snapshots`.
+    /// Registers the log's metrics with `registry` under the `durable_*`
+    /// families: the counters `durable_appends`, `durable_bytes`,
+    /// `durable_fsyncs`, `durable_recoveries`, `durable_truncated_records`,
+    /// `durable_snapshots`, and the histograms `durable_group_records`
+    /// (records made durable per group-commit fsync) and
+    /// `durable_fsync_ns` (wall-clock latency of every fsync the log
+    /// counts, group commits and snapshots alike).
     pub fn register_metrics(&self, registry: &Registry) {
         registry.register_counter("durable_appends", &[], &self.appends);
         registry.register_counter("durable_bytes", &[], &self.bytes);
@@ -640,21 +718,112 @@ impl Log {
         registry.register_counter("durable_recoveries", &[], &self.recoveries);
         registry.register_counter("durable_truncated_records", &[], &self.truncated);
         registry.register_counter("durable_snapshots", &[], &self.snapshots);
+        registry.register_histogram("durable_group_records", &[], &self.group_records);
+        registry.register_histogram("durable_fsync_ns", &[], &self.fsync_ns);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().expect("durable log poisoned")
+    }
+
+    /// Locks the log once no flush is in flight.
+    fn quiet(&self) -> MutexGuard<'_, Inner> {
+        self.flushed
+            .wait_while(self.lock(), |inner| inner.flushing)
+            .expect("durable log poisoned")
+    }
+
+    /// Leads one group: takes every staged record, writes and fsyncs them
+    /// with the lock released, then publishes them as durable. Called with
+    /// no flush in flight; returns the re-acquired guard.
+    fn lead<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, Inner>,
+    ) -> (MutexGuard<'a, Inner>, Result<(), LogError>) {
+        debug_assert!(!g.flushing, "two flush leaders");
+        if g.staged_lens.is_empty() {
+            return (g, Ok(()));
+        }
+        let first = g.durable_lsn;
+        let end = g.next_lsn;
+        debug_assert_eq!(end - first, g.staged_lens.len() as u64);
+        let spare = std::mem::take(&mut g.spare);
+        let mut buf = std::mem::replace(&mut g.staged, spare);
+        let spare_lens = std::mem::take(&mut g.spare_lens);
+        let mut lens = std::mem::replace(&mut g.staged_lens, spare_lens);
+        g.flushing = true;
+        let rotate = g.seg_records > 0 && g.seg_bytes >= g.config.segment_bytes;
+        let dir = rotate.then(|| g.dir.clone());
+        let crash = Arc::clone(&g.crash);
+        let file = Arc::clone(&g.file);
+        drop(g);
+
+        let written = self.write_group(&crash, &file, dir.as_deref(), first, &buf);
+
+        let mut g = self.lock();
+        g.flushing = false;
+        let result = match written {
+            Ok(new_segment) => {
+                if let Some(file) = new_segment {
+                    g.install_segment(file, first);
+                }
+                let seg_base = g.seg_base;
+                let mut offset = g.seg_bytes;
+                for (lsn, &frame_len) in (first..end).zip(&lens) {
+                    let loc = RecordLoc {
+                        seg_base,
+                        offset,
+                        frame_len,
+                    };
+                    g.index.insert(lsn, loc);
+                    offset += u64::from(frame_len);
+                }
+                g.seg_bytes = offset;
+                g.seg_records += lens.len() as u64;
+                g.durable_lsn = end;
+                self.group_records.record(lens.len() as u64);
+                Ok(())
+            }
+            Err(err) => {
+                g.failed |= !matches!(err, LogError::Crashed);
+                Err(err)
+            }
+        };
+        buf.clear();
+        lens.clear();
+        g.spare = buf;
+        g.spare_lens = lens;
+        self.flushed.notify_all();
+        (g, result)
+    }
+
+    /// The unlocked half of [`Log::lead`]: writes the group `buf` and
+    /// fsyncs it, into a new segment based at `first` when `rotate_in`
+    /// names the log directory, else into `file`. Returns the new
+    /// segment, if one was created.
+    fn write_group(
+        &self,
+        crash: &CrashPoint,
+        file: &File,
+        rotate_in: Option<&Path>,
+        first: u64,
+        buf: &[u8],
+    ) -> Result<Option<File>, LogError> {
+        let new_segment = match rotate_in {
+            Some(dir) => Some(self.create_segment(dir, first)?),
+            None => None,
+        };
+        let target = new_segment.as_ref().unwrap_or(file);
+        self.write_crashing(crash, target, buf)?;
+        self.sync(target)?;
+        Ok(new_segment)
     }
 
     /// Writes `buf` through the crash point: a struck budget cuts the
     /// write short at the exact admitted byte (the torn tail a power cut
     /// leaves) and reports [`LogError::Crashed`].
-    fn write_crashing(
-        &self,
-        crash: &CrashPoint,
-        file: &mut File,
-        buf: &[u8],
-    ) -> Result<(), LogError> {
+    fn write_crashing(&self, crash: &CrashPoint, file: &File, buf: &[u8]) -> Result<(), LogError> {
+        let mut file = file;
         let admitted = crash.admit(buf.len());
         if admitted > 0 {
             file.write_all(&buf[..admitted])?;
@@ -669,61 +838,25 @@ impl Log {
         Ok(())
     }
 
-    fn flush_locked(&self, g: &mut Inner) -> Result<(), LogError> {
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
-        if g.pending.is_empty() && g.durable_lsn == g.next_lsn {
-            return Ok(());
-        }
-        if !g.pending.is_empty() {
-            let buf = std::mem::take(&mut g.pending);
-            let metas = std::mem::take(&mut g.pending_meta);
-            let crash = Arc::clone(&g.crash);
-            let written = buf.len() as u64;
-            self.write_crashing(&crash, &mut g.file, &buf)?;
-            g.seg_bytes += written;
-            g.seg_records += metas.len() as u64;
-            for meta in metas {
-                g.index.insert(meta.lsn, meta.loc);
-            }
-        }
-        g.file.sync_data()?;
+    /// The counted, timed fsync.
+    fn sync(&self, file: &File) -> Result<(), LogError> {
+        let started = Instant::now();
+        file.sync_data()?;
+        self.fsync_ns.record_nanos(started.elapsed());
         self.fsyncs.inc();
-        g.durable_lsn = g.next_lsn;
-        if g.seg_bytes >= g.config.segment_bytes {
-            self.rotate_locked(g)?;
-        }
         Ok(())
     }
 
-    /// Seals the active segment (already fsynced by the caller) and
-    /// starts a fresh one based at the next LSN.
-    fn rotate_locked(&self, g: &mut Inner) -> Result<(), LogError> {
-        if g.crash.is_crashed() {
-            return Err(LogError::Crashed);
-        }
-        debug_assert!(g.pending.is_empty(), "rotate with staged records");
-        let new_base = g.next_lsn;
-        let new_file = OpenOptions::new()
+    /// Creates the empty segment file based at `base`.
+    fn create_segment(&self, dir: &Path, base: u64) -> Result<File, LogError> {
+        let file = OpenOptions::new()
             .create(true)
             .truncate(true)
             .write(true)
             .read(true)
-            .open(seg_path(&g.dir, new_base))?;
-        self.sync_dir(&g.dir)?;
-        let old = std::mem::replace(&mut g.file, new_file);
-        drop(old);
-        let sealed = SealedSeg {
-            base: g.seg_base,
-            records: g.seg_records,
-            path: seg_path(&g.dir, g.seg_base),
-        };
-        g.sealed.push(sealed);
-        g.seg_base = new_base;
-        g.seg_records = 0;
-        g.seg_bytes = 0;
-        Ok(())
+            .open(seg_path(dir, base))?;
+        self.sync_dir(dir)?;
+        Ok(file)
     }
 
     fn sync_dir(&self, dir: &Path) -> Result<(), LogError> {
@@ -733,6 +866,36 @@ impl Log {
             let _ = handle.sync_data();
         }
         Ok(())
+    }
+}
+
+impl Inner {
+    /// Refuses work once the machine is down or a write has failed.
+    fn check_live(&self) -> Result<(), LogError> {
+        if self.crash.is_crashed() {
+            return Err(LogError::Crashed);
+        }
+        if self.failed {
+            return Err(LogError::Io(std::io::Error::other(
+                "durable log failed an earlier write; reopen it to recover",
+            )));
+        }
+        Ok(())
+    }
+
+    /// Seals the active segment (its records already fsynced) and makes
+    /// `file`, based at `base`, the active one.
+    fn install_segment(&mut self, file: File, base: u64) {
+        let sealed = SealedSeg {
+            base: self.seg_base,
+            records: self.seg_records,
+            path: seg_path(&self.dir, self.seg_base),
+        };
+        self.sealed.push(sealed);
+        self.file = Arc::new(file);
+        self.seg_base = base;
+        self.seg_records = 0;
+        self.seg_bytes = 0;
     }
 }
 
@@ -756,4 +919,45 @@ fn count_records(path: &Path, max_record_bytes: u32) -> u64 {
         }
     }
     count
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crash::splitmix64;
+
+    /// The bitwise CRC-32 the table is derived from: eight conditional
+    /// polynomial steps per byte.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFF_u32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_reference() {
+        let mut state = 0x5EED_u64;
+        for len in (0..64).chain([255, 256, 1000, 4097]) {
+            let buf: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = splitmix64(state);
+                    state as u8
+                })
+                .collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}");
+        }
+    }
 }

@@ -2,11 +2,14 @@
 //! workload, enumerate EVERY byte-boundary crash site and prove the
 //! durability contract — committed records always survive, recovery
 //! truncates at the first torn record, and nothing intact-and-committed
-//! is ever lost.
+//! is ever lost. The concurrent tests drive the leader/follower commit
+//! path from many threads at once and check the same contract.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier};
 
 use brmi_durable::{CrashPoint, Log, LogConfig, TempDir};
+use brmi_obs::{Registry, Snapshot};
 
 fn payload(i: u64) -> Vec<u8> {
     // Variable-length so crash sites land at interesting intra-record
@@ -154,6 +157,13 @@ fn group_commit_coalesces_fsyncs() {
         log.commit_through(lsn).expect("commit_through");
     }
     assert_eq!(log.stats().fsyncs, after_batch);
+    // The histograms see the one group: ten records, one timed fsync.
+    let registry = Registry::new();
+    log.register_metrics(&registry);
+    let snapshot = registry.snapshot();
+    let group = snapshot.histogram("durable_group_records");
+    assert_eq!((group.count, group.sum), (1, 10));
+    assert_eq!(snapshot.histogram("durable_fsync_ns").count, after_batch);
 }
 
 #[test]
@@ -260,4 +270,136 @@ fn crashed_log_refuses_every_operation() {
     assert!(log.commit().is_err());
     assert!(log.read(0).is_err());
     assert!(log.write_snapshot(0, b"s").is_err());
+}
+
+/// The payload appender `thread` writes as its `i`-th record.
+fn thread_payload(thread: u64, i: u64) -> Vec<u8> {
+    let mut p = format!("t{thread}-r{i}:").into_bytes();
+    p.extend(std::iter::repeat_n(b'y', ((thread + i) % 5) as usize * 4));
+    p
+}
+
+/// Runs `threads` appenders, released together by a barrier, each
+/// calling `append_durable` up to `per_thread` times and stopping at its
+/// first error. Returns every acknowledged `lsn → payload`.
+fn run_concurrent(log: &Log, threads: u64, per_thread: u64) -> BTreeMap<u64, Vec<u8>> {
+    let start = Barrier::new(threads as usize);
+    let acked: Vec<Vec<(u64, Vec<u8>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|thread| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    let mut acked = Vec::new();
+                    for i in 0..per_thread {
+                        let payload = thread_payload(thread, i);
+                        match log.append_durable(&payload) {
+                            Ok(lsn) => acked.push((lsn, payload)),
+                            Err(_) => break,
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("appender panicked"))
+            .collect()
+    });
+    let mut by_lsn = BTreeMap::new();
+    for (lsn, payload) in acked.into_iter().flatten() {
+        assert!(
+            by_lsn.insert(lsn, payload).is_none(),
+            "lsn {lsn} acknowledged twice"
+        );
+    }
+    by_lsn
+}
+
+#[test]
+fn concurrent_appenders_get_dense_unique_durable_lsns() {
+    const THREADS: u64 = 16;
+    const PER_THREAD: u64 = 40;
+    let dir = TempDir::new("concurrent");
+    let (log, _) = Log::open(dir.path(), LogConfig::default()).expect("open");
+    let acked = run_concurrent(&log, THREADS, PER_THREAD);
+    let lsns: Vec<u64> = acked.keys().copied().collect();
+    assert_eq!(lsns, (0..THREADS * PER_THREAD).collect::<Vec<_>>());
+    for (lsn, payload) in &acked {
+        assert_eq!(
+            log.read(*lsn).expect("read").as_deref(),
+            Some(&payload[..]),
+            "lsn {lsn}"
+        );
+    }
+    let stats = log.stats();
+    assert_eq!(stats.appends, THREADS * PER_THREAD);
+    assert!(stats.fsyncs <= stats.appends, "{stats:?}");
+    drop(log);
+
+    let (_, recovered) = Log::open(dir.path(), LogConfig::default()).expect("recover");
+    let recovered: BTreeMap<u64, Vec<u8>> = recovered.records.into_iter().collect();
+    assert_eq!(recovered, acked);
+}
+
+#[test]
+fn crash_sites_under_concurrent_appenders_keep_every_acked_record() {
+    const THREADS: u64 = 8;
+    const PER_THREAD: u64 = 6;
+    // The total byte span does not depend on how the records group.
+    let clean = TempDir::new("concurrent-span");
+    let (log, _) = Log::open(clean.path(), LogConfig::default()).expect("open");
+    assert_eq!(
+        run_concurrent(&log, THREADS, PER_THREAD).len() as u64,
+        THREADS * PER_THREAD
+    );
+    let total_bytes = log.stats().bytes;
+    drop(log);
+
+    for site in (0..=total_bytes).step_by(7) {
+        let dir = TempDir::new("concurrent-site");
+        let (log, _) = Log::open_with(dir.path(), LogConfig::default(), CrashPoint::at_byte(site))
+            .expect("open");
+        let acked = run_concurrent(&log, THREADS, PER_THREAD);
+        drop(log);
+
+        let (_, recovered) = Log::open(dir.path(), LogConfig::default()).expect("recover");
+        let lsns: Vec<u64> = recovered.records.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(
+            lsns,
+            (0..recovered.next_lsn).collect::<Vec<_>>(),
+            "site {site}: recovered lsns are a dense prefix"
+        );
+        let recovered: BTreeMap<u64, Vec<u8>> = recovered.records.into_iter().collect();
+        for (lsn, payload) in &acked {
+            assert_eq!(
+                recovered.get(lsn),
+                Some(payload),
+                "site {site}: acknowledged lsn {lsn} lost"
+            );
+        }
+    }
+}
+
+#[test]
+fn tiny_segments_roll_under_concurrent_load_and_recover_in_order() {
+    const THREADS: u64 = 8;
+    const PER_THREAD: u64 = 30;
+    let config = LogConfig {
+        segment_bytes: 96,
+        ..LogConfig::default()
+    };
+    let dir = TempDir::new("concurrent-roll");
+    let (log, _) = Log::open(dir.path(), config).expect("open");
+    let acked = run_concurrent(&log, THREADS, PER_THREAD);
+    assert_eq!(acked.len() as u64, THREADS * PER_THREAD);
+    assert!(log.segment_count() > 1, "the load must roll segments");
+    drop(log);
+
+    let (_, recovered) = Log::open(dir.path(), config).expect("recover");
+    let lsns: Vec<u64> = recovered.records.iter().map(|(lsn, _)| *lsn).collect();
+    assert_eq!(lsns, (0..THREADS * PER_THREAD).collect::<Vec<_>>());
+    let recovered: BTreeMap<u64, Vec<u8>> = recovered.records.into_iter().collect();
+    assert_eq!(recovered, acked);
 }

@@ -113,7 +113,12 @@ pub struct DurableReport {
 
 thread_local! {
     static SUPPRESS_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Per-thread scratch buffer `Executed` records are encoded into.
+    static RECORD_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
+
+/// A scratch buffer that grew past this is dropped rather than kept.
+const RECORD_BUF_KEEP: usize = 64 * 1024;
 
 /// True while the current thread is inside a suppressed scope — a keyed
 /// execution or a recovery replay, where the `Executed` record (or the
@@ -198,6 +203,14 @@ const TAG_LEASE_RENEWED: u8 = 6;
 const TAG_LEASE_CLEANED: u8 = 7;
 const TAG_LEASE_EXPIRED: u8 = 8;
 
+/// Encodes a [`JournalRecord::Executed`] record from borrowed parts.
+fn encode_executed(enc: &mut Encoder, key: IdemKey, request: &Frame, reply: &Frame) {
+    enc.put_u8(TAG_EXECUTED);
+    key.encode(enc);
+    request.encode(enc);
+    reply.encode(enc);
+}
+
 impl WireCodec for JournalRecord {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -205,12 +218,7 @@ impl WireCodec for JournalRecord {
                 key,
                 request,
                 reply,
-            } => {
-                enc.put_u8(TAG_EXECUTED);
-                key.encode(enc);
-                request.encode(enc);
-                reply.encode(enc);
-            }
+            } => encode_executed(enc, *key, request, reply),
             JournalRecord::Bind { name, id } => {
                 enc.put_u8(TAG_BIND);
                 enc.put_str(name);
@@ -468,26 +476,29 @@ impl Journal {
     }
 
     /// Journals one keyed execution and makes it durable before the
-    /// caller releases the reply.
+    /// caller releases the reply. The record is encoded straight from the
+    /// borrowed frames into a per-thread scratch buffer.
     pub(crate) fn executed(
         &self,
         key: IdemKey,
         request: &Frame,
         reply: &Frame,
     ) -> Result<(), LogError> {
-        let record = JournalRecord::Executed {
-            key,
-            request: request.clone(),
-            reply: reply.clone(),
-        };
-        self.log.append_durable(&record.to_wire_bytes())?;
+        let mut enc = Encoder::with_buffer(RECORD_BUF.take());
+        encode_executed(&mut enc, key, request, reply);
+        let appended = self.log.append_durable(enc.as_slice());
+        let buf = enc.into_bytes();
+        if buf.capacity() <= RECORD_BUF_KEEP {
+            RECORD_BUF.set(buf);
+        }
+        appended?;
         self.executions_since_snapshot
             .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Journals a standalone (unkeyed-path) registry or lease event.
-    /// No-op inside a suppressed scope.
+    /// Journals a standalone (unkeyed-path) registry or lease event. The
+    /// caller skips suppressed scopes; see [`JournalCell::record`].
     pub(crate) fn event(&self, record: &JournalRecord) -> Result<(), LogError> {
         self.log.append_durable(&record.to_wire_bytes()).map(|_| ())
     }
@@ -633,6 +644,115 @@ mod tests {
         let bytes = state.to_wire_bytes();
         let decoded = SnapshotState::from_wire_bytes(&bytes).expect("decode");
         assert_eq!(decoded, state);
+    }
+
+    /// One keyed plain call and one keyed batch, as journaled.
+    fn executed_fixtures() -> Vec<(IdemKey, Frame, Frame)> {
+        use brmi_wire::invocation::{
+            Arg, BatchRequest, BatchResponse, CallSeq, InvocationData, PolicySpec, SlotOutcome,
+            Target,
+        };
+        let call = (
+            IdemKey {
+                client_id: 7,
+                seq: 300,
+                acked: 299,
+            },
+            Frame::Call {
+                target: ObjectId(4),
+                method: "deposit".into(),
+                args: vec![Value::Str("acct-9".into()), Value::I64(-25)],
+            },
+            Frame::Return(Value::F64(75.5)),
+        );
+        let batch = (
+            IdemKey {
+                client_id: 0xD0_0001,
+                seq: 2,
+                acked: 1,
+            },
+            Frame::BatchCall(BatchRequest {
+                session: None,
+                calls: vec![
+                    InvocationData {
+                        seq: CallSeq(0),
+                        target: Target::Remote(ObjectId(1)),
+                        method: "account".into(),
+                        args: vec![Arg::Value(Value::Str("alice".into()))],
+                        cursor: None,
+                        opens_cursor: false,
+                    },
+                    InvocationData {
+                        seq: CallSeq(1),
+                        target: Target::Result(CallSeq(0)),
+                        method: "withdraw".into(),
+                        args: vec![Arg::Value(Value::F64(12.5))],
+                        cursor: None,
+                        opens_cursor: false,
+                    },
+                ],
+                policy: PolicySpec::Abort,
+                keep_session: false,
+            }),
+            Frame::BatchReturn(BatchResponse {
+                session: None,
+                slots: vec![
+                    (CallSeq(0), SlotOutcome::Ok(Value::Null)),
+                    (CallSeq(1), SlotOutcome::Ok(Value::Bool(true))),
+                ],
+                cursors: vec![],
+                restarts: 0,
+            }),
+        );
+        vec![call, batch]
+    }
+
+    /// The `Executed` bytes the owned encoder wrote for
+    /// [`executed_fixtures`] before records were encoded from borrowed
+    /// frames: journals already on disk must keep recovering.
+    const EXECUTED_GOLDEN: [&[u8]; 2] = [
+        &[
+            1, 7, 172, 2, 171, 2, 0, 4, 7, 100, 101, 112, 111, 115, 105, 116, 2, 5, 6, 97, 99, 99,
+            116, 45, 57, 3, 49, 1, 4, 0, 0, 0, 0, 0, 224, 82, 64,
+        ],
+        &[
+            1, 129, 128, 192, 6, 2, 1, 3, 0, 2, 0, 0, 1, 7, 97, 99, 99, 111, 117, 110, 116, 1, 0,
+            5, 5, 97, 108, 105, 99, 101, 0, 0, 1, 1, 0, 8, 119, 105, 116, 104, 100, 114, 97, 119,
+            1, 0, 4, 0, 0, 0, 0, 0, 0, 41, 64, 0, 0, 0, 0, 4, 0, 2, 0, 0, 0, 1, 0, 1, 1, 0, 0,
+        ],
+    ];
+
+    #[test]
+    fn borrowed_executed_records_match_the_owned_encoding() {
+        let dir = brmi_durable::TempDir::new("executed-golden");
+        let (log, _) = Log::open(dir.path(), LogConfig::default()).expect("open");
+        let journal = Journal::new(log, dir.path(), 0);
+        // Batch first, so the shorter call reuses a longer scratch buffer.
+        let fixtures: Vec<_> = executed_fixtures()
+            .into_iter()
+            .zip(EXECUTED_GOLDEN)
+            .collect();
+        for ((key, request, reply), _) in fixtures.iter().rev() {
+            journal.executed(*key, request, reply).expect("journal");
+        }
+        for (lsn, ((key, request, reply), golden)) in fixtures.into_iter().rev().enumerate() {
+            let written = journal
+                .log()
+                .read(lsn as u64)
+                .expect("read")
+                .expect("durable");
+            let record = JournalRecord::Executed {
+                key,
+                request,
+                reply,
+            };
+            assert_eq!(written, record.to_wire_bytes());
+            assert_eq!(written, golden);
+            assert_eq!(
+                JournalRecord::from_wire_bytes(&written).expect("decode"),
+                record
+            );
+        }
     }
 
     #[test]

@@ -556,12 +556,17 @@ impl RmiServer {
     ///
     /// `request` is the *inner*, unkeyed frame ([`Frame::Call`] /
     /// [`Frame::BatchCall`]): recovery replays it directly through
-    /// [`RequestHandler::handle`] without re-entering this path.
+    /// [`RequestHandler::handle`] without re-entering this path. A batch
+    /// executes from a borrowed view of `request`, which stays intact for
+    /// the journal record.
     fn keyed_durable(&self, journal: &Arc<Journal>, key: IdemKey, request: Frame) -> Frame {
         let reply = {
             let _quiesce = journal.begin_keyed();
             self.reply_cache.execute_guarded(key, || {
-                let reply = with_suppressed(|| self.handle(request.clone()));
+                let reply = with_suppressed(|| match &request {
+                    Frame::BatchCall(batch) => self.handle_batch(batch.to_ref()),
+                    call => self.handle(call.clone()),
+                });
                 match journal.executed(key, &request, &reply) {
                     Ok(()) => reply,
                     // The execution happened but is not durable: the
