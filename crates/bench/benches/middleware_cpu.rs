@@ -21,19 +21,19 @@ use brmi_wire::invocation::{
 use brmi_wire::{ObjectId, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn noop_rig() -> (Connection, brmi_rmi::RemoteRef) {
+fn noop_rig() -> (Arc<RmiServer>, Connection, brmi_rmi::RemoteRef) {
     let server = RmiServer::new();
     brmi::BatchExecutor::install(&server);
     let id = server
         .bind("noop", NoopSkeleton::remote_arc(NoopServer::new()))
         .unwrap();
-    let conn = Connection::new(Arc::new(InProcTransport::new(server)));
+    let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
     let reference = conn.reference(id);
-    (conn, reference)
+    (server, conn, reference)
 }
 
 fn bench_recording(c: &mut Criterion) {
-    let (conn, reference) = noop_rig();
+    let (_server, conn, reference) = noop_rig();
     let mut group = c.benchmark_group("recording");
     for n in [10usize, 100] {
         group.bench_with_input(BenchmarkId::new("record_calls", n), &n, |b, &n| {
@@ -142,7 +142,9 @@ fn bench_table(c: &mut Criterion) {
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
-    let (conn, reference) = noop_rig();
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let (server, conn, reference) = noop_rig();
     let stub = NoopStub::new(reference.clone());
     let mut group = c.benchmark_group("end_to_end_inproc");
     for n in [1usize, 10, 50] {
@@ -151,6 +153,28 @@ fn bench_end_to_end(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("brmi_noops", n), &n, |b, &n| {
             b.iter(|| brmi_noops(&conn, &reference, n).unwrap());
+        });
+    }
+    // A second thread, on its own connection, batches against the same
+    // receiver throughout: every cache line the dispatch path writes per
+    // call or per batch ping-pongs between the two. `table/contended_lookup`
+    // spreads its lookups over 1024 ids, so it cannot show this.
+    for n in [1usize, 64] {
+        group.bench_with_input(BenchmarkId::new("brmi_noops_2threads", n), &n, |b, &n| {
+            let stop = Arc::new(AtomicBool::new(false));
+            let peer = {
+                let stop = Arc::clone(&stop);
+                let conn = Connection::new(Arc::new(InProcTransport::new(server.clone())));
+                let reference = conn.reference(reference.id());
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        brmi_noops(&conn, &reference, n).unwrap();
+                    }
+                })
+            };
+            b.iter(|| brmi_noops(&conn, &reference, n).unwrap());
+            stop.store(true, Ordering::Relaxed);
+            peer.join().unwrap();
         });
     }
     group.finish();
@@ -197,7 +221,7 @@ fn bench_cursor_listing(c: &mut Criterion) {
 }
 
 fn bench_implicit(c: &mut Criterion) {
-    let (conn, reference) = noop_rig();
+    let (_server, conn, reference) = noop_rig();
     let mut group = c.benchmark_group("implicit_inproc");
     for n in [10usize, 50] {
         group.bench_with_input(BenchmarkId::new("implicit_noops", n), &n, |b, &n| {

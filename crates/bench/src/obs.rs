@@ -210,7 +210,7 @@ fn run_point(batch_size: u32) -> ObsPoint {
 pub fn obs_sweep_with(batch_sizes: &[u32]) -> (MultiFigure, Vec<ObsPoint>) {
     let points: Vec<ObsPoint> = batch_sizes.iter().map(|&b| run_point(b)).collect();
     let figure = MultiFigure {
-        id: "figO1",
+        id: "figV1",
         title: "Observability: trace spans, client-flush quantiles, and envelope overhead \
                 vs batch size"
             .to_owned(),

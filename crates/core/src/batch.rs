@@ -27,7 +27,7 @@
 //! [`CursorHandle`]: crate::stub::CursorHandle
 //! [`Connection::new_keyed`]: brmi_rmi::Connection::new_keyed
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use brmi_rmi::{Connection, RemoteRef};
@@ -79,9 +79,10 @@ struct BatchInner {
     /// Set on a recording error (foreign stub, cursor misuse). The next
     /// flush reports it instead of contacting the server.
     poisoned: Option<RemoteError>,
-    next_seq: u32,
     pending: Vec<InvocationData>,
-    slots: HashMap<u32, Arc<FutureSlot>>,
+    /// One slot per recorded call, indexed by seq: `slots[seq]` is the
+    /// slot of call `seq`, and the next call's seq is `slots.len()`.
+    slots: Vec<Arc<FutureSlot>>,
     cursors: HashMap<u32, CursorState>,
     session: Option<SessionId>,
     /// The most recent pipelined flush still (possibly) in flight. A later
@@ -193,9 +194,8 @@ impl Batch {
                 policy: policy.into(),
                 phase: Phase::Recording,
                 poisoned: None,
-                next_seq: 0,
                 pending: Vec::new(),
-                slots: HashMap::new(),
+                slots: Vec::new(),
                 cursors: HashMap::new(),
                 session: None,
                 inflight: None,
@@ -288,15 +288,13 @@ impl Batch {
     ) -> Recorded {
         let slot = FutureSlot::new();
         let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.stats.calls_recorded += 1;
-
         // Every recorded call registers its slot, including ones that
         // fail during recording — `ok()` checks and failure scans
-        // (`first_failure_from`) must see those too, and the stats
-        // counter stays in lockstep with the sequence numbers.
-        inner.slots.insert(seq, Arc::clone(&slot));
+        // (`first_failure_from`) must see those too. The slot's index is
+        // the call's seq, and the stats counter stays in lockstep.
+        let seq = u32::try_from(inner.slots.len()).expect("call seqs fit in u32");
+        inner.slots.push(Arc::clone(&slot));
+        inner.stats.calls_recorded += 1;
 
         // Helper to fail this call (and usually the whole batch).
         macro_rules! fail {
@@ -465,7 +463,7 @@ impl Batch {
 
     /// Looks up the slot behind a call (for `ok()` checks).
     pub(crate) fn slot_of(&self, seq: u32) -> Option<Arc<FutureSlot>> {
-        self.inner.lock().slots.get(&seq).cloned()
+        self.inner.lock().slots.get(seq as usize).cloned()
     }
 
     /// The earliest failure among calls recorded at or after position
@@ -478,19 +476,11 @@ impl Batch {
     /// failed, and are never reported here.
     pub fn first_failure_from(&self, start: u32) -> Option<RemoteError> {
         let inner = self.inner.lock();
-        let mut found: Option<(u32, RemoteError)> = None;
-        for (&seq, slot) in &inner.slots {
-            if seq < start {
-                continue;
-            }
-            if let Err(err) = slot.check_failed() {
-                match &found {
-                    Some((best, _)) if *best <= seq => {}
-                    _ => found = Some((seq, err)),
-                }
-            }
-        }
-        found.map(|(_, err)| err)
+        inner
+            .slots
+            .get(start as usize..)?
+            .iter()
+            .find_map(|slot| slot.check_failed().err())
     }
 
     /// Discards every recorded-but-unflushed call, failing its futures
@@ -507,7 +497,7 @@ impl Batch {
         let pending = std::mem::take(&mut inner.pending);
         let discarded = pending.len();
         for call in &pending {
-            if let Some(slot) = inner.slots.get(&call.seq.0) {
+            if let Some(slot) = inner.slots.get(call.seq.0 as usize) {
                 slot.set_failed(reason.clone());
             }
         }
@@ -550,7 +540,7 @@ impl Batch {
                 .collect()
         };
         for (member, outcome) in assignments {
-            if let Some(slot) = inner.slots.get(&member) {
+            if let Some(slot) = inner.slots.get(member as usize) {
                 apply_outcome(slot, outcome);
             }
         }
@@ -600,7 +590,7 @@ impl Batch {
             let calls = std::mem::take(&mut inner.pending);
             // Every covered future can claim this flush on first touch.
             for call in &calls {
-                if let Some(slot) = inner.slots.get(&call.seq.0) {
+                if let Some(slot) = inner.slots.get(call.seq.0 as usize) {
                     slot.attach_flush(Arc::clone(&gate));
                 }
             }
@@ -657,7 +647,7 @@ impl Batch {
                 let err = already_executed();
                 let inner = self.inner.lock();
                 for call in &calls {
-                    if let Some(slot) = inner.slots.get(&call.seq.0) {
+                    if let Some(slot) = inner.slots.get(call.seq.0 as usize) {
                         slot.set_failed(err.clone());
                     }
                 }
@@ -706,7 +696,7 @@ impl Batch {
     fn fail_pending_locked(inner: &mut BatchInner, err: &RemoteError) {
         let seqs: Vec<u32> = inner.pending.iter().map(|c| c.seq.0).collect();
         for seq in seqs {
-            if let Some(slot) = inner.slots.get(&seq) {
+            if let Some(slot) = inner.slots.get(seq as usize) {
                 slot.set_failed(err.clone());
             }
         }
@@ -765,7 +755,7 @@ impl Batch {
                 // All communication errors surface at flush (Section 3.3):
                 // the futures of this segment fail with the same error.
                 for seq in seqs {
-                    if let Some(slot) = inner.slots.get(seq) {
+                    if let Some(slot) = inner.slots.get(*seq as usize) {
                         slot.set_failed(err.clone());
                     }
                 }
@@ -781,19 +771,29 @@ impl Batch {
         }
         inner.stats.server_restarts += u64::from(response.restarts);
 
-        let mut responded: HashSet<u32> = HashSet::with_capacity(response.slots.len());
+        // The segment's seqs ascend, so answered ones are marked by their
+        // offset from the first.
+        let base = seqs.first().copied().unwrap_or(0);
+        let span = seqs.last().map_or(0, |last| (last - base) as usize + 1);
+        let mut responded = vec![false; span];
         for (seq, outcome) in response.slots {
-            responded.insert(seq.0);
+            if let Some(mark) = seq
+                .0
+                .checked_sub(base)
+                .and_then(|offset| responded.get_mut(offset as usize))
+            {
+                *mark = true;
+            }
             if matches!(outcome, SlotOutcome::InCursor) {
                 continue; // populated by next()
             }
-            if let Some(slot) = inner.slots.get(&seq.0) {
+            if let Some(slot) = inner.slots.get(seq.0 as usize) {
                 apply_outcome(slot, outcome);
             }
         }
         for seq in seqs {
-            if !responded.contains(seq) {
-                if let Some(slot) = inner.slots.get(seq) {
+            if !responded[(seq - base) as usize] {
+                if let Some(slot) = inner.slots.get(*seq as usize) {
                     slot.set_failed(RemoteError::new(
                         RemoteErrorKind::Protocol,
                         format!("server response missing result for call {seq}"),
@@ -820,7 +820,7 @@ impl Batch {
         let mut failed_members: Vec<(u32, RemoteError)> = Vec::new();
         for (cursor_seq, state) in &inner.cursors {
             if state.flushed.is_none() && !state.members.is_empty() {
-                if let Some(slot) = inner.slots.get(cursor_seq) {
+                if let Some(slot) = inner.slots.get(*cursor_seq as usize) {
                     if let Err(err) = slot.check_applied() {
                         for member in &state.members {
                             failed_members.push((*member, err.clone()));
@@ -830,7 +830,7 @@ impl Batch {
             }
         }
         for (member, err) in failed_members {
-            if let Some(slot) = inner.slots.get(&member) {
+            if let Some(slot) = inner.slots.get(member as usize) {
                 slot.set_failed(err);
             }
         }

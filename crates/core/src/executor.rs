@@ -14,12 +14,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use brmi_obs::{Counter, MetricsSnapshot, Registry, Snapshot};
-use brmi_rmi::{BatchFrameHandler, CallCtx, InArg, OutValue, RemoteObject, RmiServer};
+use brmi_rmi::{BatchFrameHandler, CallCtx, InArg, ObjectTable, OutValue, RemoteObject, RmiServer};
 use brmi_wire::invocation::{
     ArgRef, BatchRequestRef, BatchResponse, CallSeq, CursorResult, ErrorEnvelope, ExceptionAction,
     InvocationDataRef, PolicySpec, SessionId, SlotOutcome, Target,
 };
-use brmi_wire::{RemoteError, RemoteErrorKind, ToValue, Value, ValueRef};
+use brmi_wire::{ObjectId, RemoteError, RemoteErrorKind, ToValue, Value, ValueRef};
 use parking_lot::Mutex;
 
 /// Objects pinned alive between chained batches: remote results by call
@@ -180,7 +180,7 @@ impl Snapshot for BatchExecutor {
 impl BatchFrameHandler for BatchExecutor {
     fn invoke_batch(
         &self,
-        server: &Arc<RmiServer>,
+        server: &RmiServer,
         request: BatchRequestRef<'_>,
     ) -> Result<BatchResponse, RemoteError> {
         let base = match request.session {
@@ -247,10 +247,64 @@ enum Resolved {
 }
 
 /// Receiver + arguments ready for dispatch, or why not.
-enum Prep {
-    Ready(Arc<dyn RemoteObject>, Vec<InArg>),
+enum Prep<'a> {
+    Ready(Receiver<'a>, Vec<InArg>),
     Skip(ErrorEnvelope),
     Fault(RemoteError),
+}
+
+/// The receiver of one call: borrowed from the [`ReceiverCache`] for
+/// `Target::Remote`, owned for batch-local results and cursor elements.
+enum Receiver<'a> {
+    Cached(&'a dyn RemoteObject),
+    Owned(Arc<dyn RemoteObject>),
+}
+
+impl std::ops::Deref for Receiver<'_> {
+    type Target = dyn RemoteObject;
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Receiver::Cached(object) => *object,
+            Receiver::Owned(object) => &**object,
+        }
+    }
+}
+
+/// The last receiver one [`BatchExecutor::run_once`] resolved from the
+/// export table, with the version of its shard at that lookup.
+///
+/// Many batches call one exported object over and over (the paper's
+/// no-op batches do). While the shard's version is
+/// unchanged the cached `Arc` is lent out by reference, so such a repeat
+/// call takes no lock and touches no reference count — nothing another
+/// dispatch thread also writes. A call on a different id replaces the
+/// entry, costing one lookup as before. Any export,
+/// install or unexport in that shard (including one made by an earlier
+/// call of this very batch) moves the version and forces a fresh lookup,
+/// so an unexported receiver still fails with `NoSuchObject`.
+#[derive(Default)]
+struct ReceiverCache {
+    last: Option<(ObjectId, u64, Arc<dyn RemoteObject>)>,
+}
+
+impl ReceiverCache {
+    fn resolve(
+        &mut self,
+        table: &ObjectTable,
+        id: ObjectId,
+    ) -> Result<&dyn RemoteObject, RemoteError> {
+        let hit = matches!(
+            &self.last,
+            Some((cached, version, _)) if *cached == id && table.version(id) == *version
+        );
+        if !hit {
+            let (object, version) = table.get_versioned(id);
+            self.last = Some((id, version, object.ok_or_else(|| no_such_object(id))?));
+        }
+        let (_, _, object) = self.last.as_ref().expect("filled on a miss above");
+        Ok(&**object)
+    }
 }
 
 /// What became of one executed (or attempted) call.
@@ -280,7 +334,7 @@ struct ElemCtx<'a> {
 impl BatchExecutor {
     fn run_once(
         &self,
-        server: &Arc<RmiServer>,
+        server: &RmiServer,
         mut state: SessionState,
         request: &BatchRequestRef<'_>,
         allow_restart: bool,
@@ -296,6 +350,7 @@ impl BatchExecutor {
         }
 
         let ctx = server.call_ctx();
+        let mut receivers = ReceiverCache::default();
         let mut outcomes: HashMap<u32, Option<ErrorEnvelope>> = HashMap::new();
         let mut slots: Vec<(CallSeq, SlotOutcome)> = Vec::with_capacity(calls.len());
         let mut cursors: Vec<CursorResult> = Vec::new();
@@ -314,25 +369,26 @@ impl BatchExecutor {
                 continue;
             }
 
-            let disposition = match self.prepare(server, &state, &outcomes, call, None) {
-                Prep::Skip(env) => {
-                    slots.push((call.seq, SlotOutcome::Skipped(env.clone())));
-                    outcomes.insert(seq, Some(env));
-                    continue;
-                }
-                Prep::Fault(err) => {
-                    self.fault_disposition(&err, call, index, &request.policy, allow_restart)
-                }
-                Prep::Ready(target, in_args) => self.execute_call(
-                    &target,
-                    call,
-                    in_args,
-                    index,
-                    &request.policy,
-                    allow_restart,
-                    &ctx,
-                ),
-            };
+            let disposition =
+                match self.prepare(server, &mut receivers, &state, &outcomes, call, None) {
+                    Prep::Skip(env) => {
+                        slots.push((call.seq, SlotOutcome::Skipped(env.clone())));
+                        outcomes.insert(seq, Some(env));
+                        continue;
+                    }
+                    Prep::Fault(err) => {
+                        self.fault_disposition(&err, call, index, &request.policy, allow_restart)
+                    }
+                    Prep::Ready(target, in_args) => self.execute_call(
+                        &*target,
+                        call,
+                        in_args,
+                        index,
+                        &request.policy,
+                        allow_restart,
+                        ctx,
+                    ),
+                };
 
             match disposition {
                 Disposition::Restart => return RunResult::RestartRequested,
@@ -381,7 +437,8 @@ impl BatchExecutor {
                         let member_idxs = members_of.remove(&seq).unwrap_or_default();
                         match self.run_cursor(
                             server,
-                            &ctx,
+                            ctx,
+                            &mut receivers,
                             &mut state,
                             calls,
                             &member_idxs,
@@ -437,8 +494,9 @@ impl BatchExecutor {
     #[allow(clippy::too_many_arguments, clippy::result_large_err)]
     fn run_cursor(
         &self,
-        server: &Arc<RmiServer>,
+        server: &RmiServer,
         ctx: &CallCtx,
+        receivers: &mut ReceiverCache,
         state: &mut SessionState,
         calls: &[InvocationDataRef<'_>],
         member_idxs: &[usize],
@@ -476,27 +534,34 @@ impl BatchExecutor {
                     objects: &elem_objects,
                     outcomes: &elem_outcomes,
                 };
-                let disposition =
-                    match self.prepare(server, state, outer_outcomes, call, Some(&elem_ctx)) {
-                        Prep::Skip(env) => {
-                            row.push(SlotOutcome::Skipped(env.clone()));
-                            elem_outcomes.insert(seq, Some(env));
-                            columns.entry(seq).or_default().push(None);
-                            continue;
-                        }
-                        Prep::Fault(err) => {
-                            self.fault_disposition(&err, call, member_index, policy, allow_restart)
-                        }
-                        Prep::Ready(target, in_args) => self.execute_call(
-                            &target,
-                            call,
-                            in_args,
-                            member_index,
-                            policy,
-                            allow_restart,
-                            ctx,
-                        ),
-                    };
+                let prep = self.prepare(
+                    server,
+                    receivers,
+                    state,
+                    outer_outcomes,
+                    call,
+                    Some(&elem_ctx),
+                );
+                let disposition = match prep {
+                    Prep::Skip(env) => {
+                        row.push(SlotOutcome::Skipped(env.clone()));
+                        elem_outcomes.insert(seq, Some(env));
+                        columns.entry(seq).or_default().push(None);
+                        continue;
+                    }
+                    Prep::Fault(err) => {
+                        self.fault_disposition(&err, call, member_index, policy, allow_restart)
+                    }
+                    Prep::Ready(target, in_args) => self.execute_call(
+                        &*target,
+                        call,
+                        in_args,
+                        member_index,
+                        policy,
+                        allow_restart,
+                        ctx,
+                    ),
+                };
                 match disposition {
                     Disposition::Restart => return Err(CursorAbort::Restart),
                     Disposition::Failure { env, brk } => {
@@ -560,23 +625,30 @@ impl BatchExecutor {
     }
 
     /// Resolves receiver and arguments for one call.
-    fn prepare(
+    fn prepare<'r>(
         &self,
-        server: &Arc<RmiServer>,
+        server: &RmiServer,
+        receivers: &'r mut ReceiverCache,
         state: &SessionState,
         outcomes: &HashMap<u32, Option<ErrorEnvelope>>,
         call: &InvocationDataRef<'_>,
         elem: Option<&ElemCtx<'_>>,
-    ) -> Prep {
+    ) -> Prep<'r> {
         let target = match &call.target {
-            Target::Remote(id) => self.resolve_table(server, *id),
-            Target::Result(seq) => self.resolve_result(seq.0, state, outcomes, elem),
-            Target::CursorElement(seq, index) => self.resolve_element(state, seq.0, *index),
-        };
-        let target = match target {
-            Resolved::Object(object) => object,
-            Resolved::Dependency(env) => return Prep::Skip(env),
-            Resolved::Fault(err) => return Prep::Fault(err),
+            Target::Remote(id) => match receivers.resolve(server.table(), *id) {
+                Ok(object) => Receiver::Cached(object),
+                Err(err) => return Prep::Fault(err),
+            },
+            Target::Result(seq) => match self.resolve_result(seq.0, state, outcomes, elem) {
+                Resolved::Object(object) => Receiver::Owned(object),
+                Resolved::Dependency(env) => return Prep::Skip(env),
+                Resolved::Fault(err) => return Prep::Fault(err),
+            },
+            Target::CursorElement(seq, index) => match self.resolve_element(state, seq.0, *index) {
+                Resolved::Object(object) => Receiver::Owned(object),
+                Resolved::Dependency(env) => return Prep::Skip(env),
+                Resolved::Fault(err) => return Prep::Fault(err),
+            },
         };
         let mut in_args = Vec::with_capacity(call.args.len());
         for arg in &call.args {
@@ -600,13 +672,10 @@ impl BatchExecutor {
         Prep::Ready(target, in_args)
     }
 
-    fn resolve_table(&self, server: &Arc<RmiServer>, id: brmi_wire::ObjectId) -> Resolved {
+    fn resolve_table(&self, server: &RmiServer, id: ObjectId) -> Resolved {
         match server.table().get(id) {
             Some(object) => Resolved::Object(object),
-            None => Resolved::Fault(RemoteError::new(
-                RemoteErrorKind::NoSuchObject,
-                format!("no exported object {id}"),
-            )),
+            None => Resolved::Fault(no_such_object(id)),
         }
     }
 
@@ -667,7 +736,7 @@ impl BatchExecutor {
     #[allow(clippy::too_many_arguments)]
     fn execute_call(
         &self,
-        target: &Arc<dyn RemoteObject>,
+        target: &dyn RemoteObject,
         call: &InvocationDataRef<'_>,
         in_args: Vec<InArg>,
         index: usize,
@@ -708,7 +777,7 @@ impl BatchExecutor {
 
     /// Counts one dispatched call, classifying it read/write through the
     /// receiver's own method table rather than by method-name string.
-    fn count_replayed(&self, target: &Arc<dyn RemoteObject>, method: &str) {
+    fn count_replayed(&self, target: &dyn RemoteObject, method: &str) {
         self.stats.calls_replayed.inc();
         if target
             .method_meta(method)
@@ -735,4 +804,11 @@ impl BatchExecutor {
             _ => Disposition::Failure { env, brk: true },
         }
     }
+}
+
+fn no_such_object(id: ObjectId) -> RemoteError {
+    RemoteError::new(
+        RemoteErrorKind::NoSuchObject,
+        format!("no exported object {id}"),
+    )
 }

@@ -640,7 +640,7 @@ macro_rules! remote_interface {
                         }
                         $crate::__rt::InArg::Value($crate::__rt::Value::RemoteRef(id)) => {
                             ::core::result::Result::Ok($crate::__rt::Arc::new(
-                                [<$I Loopback>]::new(id, $crate::__rt::Arc::clone(&ctx.loopback)),
+                                [<$I Loopback>]::new(id, ctx.loopback()?),
                             ))
                         }
                         $crate::__rt::InArg::Value(other) => ::core::result::Result::Err(

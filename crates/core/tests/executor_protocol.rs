@@ -5,10 +5,15 @@
 
 mod common;
 
+use std::any::Any;
+use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+
+use brmi_rmi::{no_such_method, CallCtx, InArg, OutValue, RemoteObject, RmiServer};
 use brmi_wire::invocation::{
     Arg, BatchRequest, CallSeq, InvocationData, PolicySpec, SessionId, SlotOutcome, Target,
 };
-use brmi_wire::{ObjectId, Value};
+use brmi_wire::{ObjectId, RemoteError, Value};
 use common::Rig;
 
 fn call(seq: u32, target: Target, method: &str, args: Vec<Arg>) -> InvocationData {
@@ -191,7 +196,6 @@ fn remote_arg_of_wrong_interface_is_bad_arguments() {
     // Export a second object of a different interface and pass it where a
     // Node is expected.
     use brmi::remote_interface;
-    use std::sync::Arc;
 
     remote_interface! {
         pub interface Other {
@@ -314,4 +318,127 @@ fn slots_preserve_request_order() {
     );
     let seqs: Vec<u32> = slots.iter().map(|(seq, _)| seq.0).collect();
     assert_eq!(seqs, vec![10, 3, 7], "response order mirrors request order");
+}
+
+/// A receiver that mutates its server's export table mid-batch, through a
+/// weak handle so it never keeps the server alive: `unexport_self` removes
+/// its own export, `export_many` exports 64 fresh objects (so at least one
+/// lands in every table shard), `ping` counts.
+struct TableMutator {
+    server: Weak<RmiServer>,
+    id: OnceLock<ObjectId>,
+    pings: AtomicI32,
+}
+
+impl TableMutator {
+    fn export(server: &Arc<RmiServer>) -> ObjectId {
+        let mutator = Arc::new(TableMutator {
+            server: Arc::downgrade(server),
+            id: OnceLock::new(),
+            pings: AtomicI32::new(0),
+        });
+        let id = server.export(mutator.clone());
+        mutator.id.set(id).expect("exported once");
+        id
+    }
+}
+
+impl RemoteObject for TableMutator {
+    fn interface_name(&self) -> &'static str {
+        "TableMutator"
+    }
+
+    fn invoke(
+        &self,
+        method: &str,
+        _args: Vec<InArg>,
+        _ctx: &CallCtx,
+    ) -> Result<OutValue, RemoteError> {
+        let server = self.server.upgrade().expect("server alive during a call");
+        let value = match method {
+            "ping" => Value::I32(self.pings.fetch_add(1, Ordering::Relaxed) + 1),
+            "unexport_self" => {
+                Value::Bool(server.table().unexport(self.id.get().copied().unwrap()))
+            }
+            "export_many" => {
+                for _ in 0..64 {
+                    TableMutator::export(&server);
+                }
+                Value::Null
+            }
+            other => return Err(no_such_method("TableMutator", other)),
+        };
+        Ok(OutValue::Data(value))
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+#[test]
+fn call_after_receiver_unexports_itself_is_no_such_object() {
+    let rig = Rig::chain(&[1]);
+    let a = Target::Remote(TableMutator::export(&rig.server));
+    let slots = send(
+        &rig,
+        vec![
+            call(0, a, "ping", vec![]),
+            call(1, a, "unexport_self", vec![]),
+            call(2, a, "ping", vec![]),
+        ],
+        PolicySpec::Continue,
+    );
+    assert!(matches!(slots[0].1, SlotOutcome::Ok(Value::I32(1))));
+    assert!(matches!(slots[1].1, SlotOutcome::Ok(Value::Bool(true))));
+    match &slots[2].1 {
+        SlotOutcome::Err(env) => assert_eq!(env.kind, "no-such-object"),
+        other => panic!("a call on an unexported receiver must fail, got {other:?}"),
+    }
+}
+
+#[test]
+fn alternating_receivers_each_get_their_own_calls() {
+    let rig = Rig::chain(&[1]);
+    let b = Target::Remote(TableMutator::export(&rig.server));
+    let slots = send(
+        &rig,
+        vec![
+            call(0, root_target(&rig), "value", vec![]),
+            call(1, b, "ping", vec![]),
+            call(2, root_target(&rig), "name", vec![]),
+            call(3, b, "ping", vec![]),
+            call(4, root_target(&rig), "value", vec![]),
+        ],
+        PolicySpec::Continue,
+    );
+    assert!(matches!(slots[0].1, SlotOutcome::Ok(Value::I32(1))));
+    assert!(matches!(slots[1].1, SlotOutcome::Ok(Value::I32(1))));
+    assert!(matches!(&slots[2].1, SlotOutcome::Ok(Value::Str(name)) if name == "n0"));
+    assert!(matches!(slots[3].1, SlotOutcome::Ok(Value::I32(2))));
+    assert!(matches!(slots[4].1, SlotOutcome::Ok(Value::I32(1))));
+}
+
+#[test]
+fn exports_midway_keep_the_receiver_reachable() {
+    let rig = Rig::chain(&[1]);
+    let a = Target::Remote(TableMutator::export(&rig.server));
+    let before = rig.server.table().len();
+    let slots = send(
+        &rig,
+        vec![
+            call(0, a, "ping", vec![]),
+            call(1, a, "export_many", vec![]),
+            call(2, a, "ping", vec![]),
+            call(3, root_target(&rig), "value", vec![]),
+            call(4, a, "ping", vec![]),
+        ],
+        PolicySpec::Continue,
+    );
+    assert_eq!(rig.server.table().len(), before + 64);
+    assert!(matches!(slots[0].1, SlotOutcome::Ok(Value::I32(1))));
+    assert!(matches!(slots[1].1, SlotOutcome::Ok(Value::Null)));
+    assert!(matches!(slots[2].1, SlotOutcome::Ok(Value::I32(2))));
+    assert!(matches!(slots[3].1, SlotOutcome::Ok(Value::I32(1))));
+    assert!(matches!(slots[4].1, SlotOutcome::Ok(Value::I32(3))));
 }

@@ -5,6 +5,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use brmi::policy::AbortPolicy;
 use common::{Rig, TestNode};
 
@@ -76,4 +78,35 @@ fn loopback_proxy_value_args_round_trip() {
     let sum = broot.add(&bn1);
     batch.flush().unwrap();
     assert_eq!(sum.get().unwrap(), 42);
+}
+
+#[test]
+fn server_is_freed_after_serving_calls_batches_and_loopback() {
+    // The server lends its call context to every call and holds itself
+    // only weakly inside it; a strong self-reference would keep it alive
+    // forever once the last outside handle is dropped.
+    let rig = Rig::chain(&[1, 2, 30]);
+    let server = Arc::downgrade(&rig.server);
+
+    let root = rig.rmi_root();
+    assert_eq!(root.value().unwrap(), 1);
+    let n1 = root.next().unwrap();
+    assert_eq!(root.next_value_of(&n1).unwrap(), 30);
+    assert_eq!(rig.server.loopback_calls(), 2);
+
+    let (batch, broot) = rig.batch(AbortPolicy);
+    let value = broot.value();
+    let deep = broot.next_value_of(&broot.next());
+    batch.flush().unwrap();
+    assert_eq!(value.get().unwrap(), 1);
+    assert_eq!(deep.get().unwrap(), 30);
+
+    // Stubs and batches hold the connection, whose transport holds the
+    // server: drop them all with the rig.
+    drop((root, n1, batch, broot, value, deep));
+    drop(rig);
+    assert!(
+        server.upgrade().is_none(),
+        "the server must be freed once its last Arc is dropped"
+    );
 }

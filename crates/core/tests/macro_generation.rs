@@ -188,7 +188,7 @@ fn empty_interface_dispatch_rejects_everything() {
     let skeleton = EmptySkeleton::remote_arc(Arc::new(Nothing));
     assert_eq!(skeleton.interface_name(), "Empty");
     let err = skeleton
-        .invoke("anything", vec![], &server.call_ctx())
+        .invoke("anything", vec![], server.call_ctx())
         .unwrap_err();
     assert_eq!(err.kind(), brmi_wire::RemoteErrorKind::NoSuchMethod);
 }

@@ -7,7 +7,7 @@
 //! [`RemoteObject`], which matches method names and converts arguments.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use brmi_wire::{MethodMeta, RemoteError, RemoteErrorKind, Value};
 
@@ -71,12 +71,35 @@ impl std::fmt::Debug for OutValue {
 /// Context a skeleton may need while dispatching one call.
 ///
 /// Currently this carries the loopback invoker used to proxy remote-
-/// reference arguments in plain RMI mode; generated proxies keep a clone of
-/// it, so it is shared ownership rather than a borrow.
+/// reference arguments in plain RMI mode. The server builds one context
+/// when it is created and lends it to every call, so dispatch pays no
+/// reference-count traffic for it. The invoker is held weakly — a server
+/// must never own a strong reference to itself, or it would never be
+/// freed — and [`CallCtx::loopback`] upgrades it only when a generated
+/// loopback proxy is created; that proxy then keeps the server alive for
+/// as long as the application holds it.
 #[derive(Clone)]
 pub struct CallCtx {
-    /// Invoker for same-server calls made through a marshalled stub.
-    pub loopback: Arc<dyn Loopback>,
+    loopback: Weak<dyn Loopback>,
+}
+
+impl CallCtx {
+    /// A context whose loopback calls go to `loopback` while it is alive.
+    pub(crate) fn new(loopback: Weak<dyn Loopback>) -> Self {
+        CallCtx { loopback }
+    }
+
+    /// The loopback invoker, for building a proxy around a marshalled
+    /// stub.
+    ///
+    /// # Errors
+    ///
+    /// A transport-kind error when the server behind the context is gone.
+    pub fn loopback(&self) -> Result<Arc<dyn Loopback>, RemoteError> {
+        self.loopback
+            .upgrade()
+            .ok_or_else(|| RemoteError::transport("loopback server has shut down"))
+    }
 }
 
 impl std::fmt::Debug for CallCtx {

@@ -201,6 +201,7 @@ impl RemoteObject for RegistryObject {
 mod tests {
     use super::*;
     use crate::object::Loopback;
+    use std::sync::Weak;
 
     struct NoLoopback;
 
@@ -220,13 +221,7 @@ mod tests {
         method: &str,
         args: Vec<InArg>,
     ) -> Result<OutValue, RemoteError> {
-        registry.invoke(
-            method,
-            args,
-            &CallCtx {
-                loopback: Arc::new(NoLoopback),
-            },
-        )
+        registry.invoke(method, args, &CallCtx::new(Weak::<NoLoopback>::new()))
     }
 
     #[test]

@@ -43,6 +43,13 @@ pub trait BatchFrameHandler: Send + Sync {
     /// Executes a recorded batch against `server` (the paper's
     /// `invokeBatch`, Figure 2).
     ///
+    /// The server lends both itself and the handler for the duration of
+    /// the batch: the server calls this while holding its handler slot's
+    /// read lock, so dispatching a batch takes no reference count on
+    /// either, and [`RmiServer::set_batch_handler`] waits for batches in
+    /// flight. Skeletons get the server's [`CallCtx`] by reference from
+    /// [`RmiServer::call_ctx`].
+    ///
     /// The request arrives as a borrowed view into the frame buffer: the
     /// executor converts each argument to an owned [`Value`] only when it
     /// hands it to the application, so decode pays no per-payload copy.
@@ -55,7 +62,7 @@ pub trait BatchFrameHandler: Send + Sync {
     /// response, not here.
     fn invoke_batch(
         &self,
-        server: &Arc<RmiServer>,
+        server: &RmiServer,
         request: BatchRequestRef<'_>,
     ) -> Result<BatchResponse, RemoteError>;
 
@@ -80,7 +87,8 @@ pub struct RmiServer {
     tracer: RwLock<Option<Arc<Tracer>>>,
     journal: RwLock<Option<Arc<Journal>>>,
     durable_states: RwLock<BTreeMap<String, Arc<dyn DurableState>>>,
-    weak_self: Weak<RmiServer>,
+    /// Built once and lent to every call; holds the server only weakly.
+    call_ctx: CallCtx,
 }
 
 impl RmiServer {
@@ -112,7 +120,7 @@ impl RmiServer {
                 tracer: RwLock::new(None),
                 journal: RwLock::new(None),
                 durable_states: RwLock::new(BTreeMap::new()),
-                weak_self: Weak::clone(weak_self),
+                call_ctx: CallCtx::new(Weak::clone(weak_self) as Weak<dyn Loopback>),
             }
         })
     }
@@ -149,7 +157,8 @@ impl RmiServer {
         Ok(id)
     }
 
-    /// Installs the batching extension.
+    /// Installs the batching extension. Waits for batches already running
+    /// through the previous handler, if any, to finish.
     pub fn set_batch_handler(&self, handler: Arc<dyn BatchFrameHandler>) {
         *self.batch_handler.write() = Some(handler);
     }
@@ -228,22 +237,9 @@ impl RmiServer {
         expired.len()
     }
 
-    /// An owning handle to this server, for contexts that need `Arc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while the server is being dropped.
-    pub fn strong(&self) -> Arc<RmiServer> {
-        self.weak_self
-            .upgrade()
-            .expect("server used during teardown")
-    }
-
-    /// The call context handed to skeletons.
-    pub fn call_ctx(&self) -> CallCtx {
-        CallCtx {
-            loopback: self.strong() as Arc<dyn Loopback>,
-        }
+    /// The call context lent to skeletons.
+    pub fn call_ctx(&self) -> &CallCtx {
+        &self.call_ctx
     }
 
     /// Dispatches one plain call and marshals the result.
@@ -295,15 +291,15 @@ impl RmiServer {
                 format!("no exported object {target}"),
             )
         })?;
-        let out = object.invoke(method, in_args, &self.call_ctx())?;
+        let out = object.invoke(method, in_args, &self.call_ctx)?;
         Ok(self.marshal_out(out))
     }
 
-    /// Runs one borrowed batch request through the installed batch handler.
+    /// Runs one borrowed batch request through the installed batch handler,
+    /// borrowed under the slot's read lock (see [`BatchFrameHandler`]).
     fn invoke_batch_ref(&self, request: BatchRequestRef<'_>) -> Result<BatchResponse, RemoteError> {
-        let handler = self.batch_handler.read().clone();
-        match handler {
-            Some(handler) => handler.invoke_batch(&self.strong(), request),
+        match self.batch_handler.read().as_deref() {
+            Some(handler) => handler.invoke_batch(self, request),
             None => Err(RemoteError::new(
                 RemoteErrorKind::Protocol,
                 "server has no batch support installed",
@@ -682,7 +678,7 @@ impl RequestHandler for RmiServer {
                     .collect(),
             ),
             Frame::ReleaseSession(session) => {
-                if let Some(handler) = self.batch_handler.read().clone() {
+                if let Some(handler) = self.batch_handler.read().as_deref() {
                     handler.release_session(session);
                 }
                 Frame::Released

@@ -27,10 +27,37 @@ const SHARD_COUNT: u64 = 64;
 /// round-robin across shards, giving a uniform key distribution by
 /// construction. The `table/contended_lookup` benchmark in
 /// `crates/bench/benches/middleware_cpu.rs` measures the effect.
+///
+/// Sharding only helps lookups spread over many ids: threads hammering one
+/// receiver still meet on its shard's lock word. Each shard therefore also
+/// carries a version that every export, install and unexport bumps under
+/// the write lock, so a caller that resolved an object once can keep using
+/// it while [`ObjectTable::version`] is unchanged — a plain load, no lock
+/// and no reference-count traffic (the batch executor does this per batch).
 #[derive(Debug)]
 pub struct ObjectTable {
     next_id: AtomicU64,
-    shards: [RwLock<HashMap<u64, Arc<dyn RemoteObject>>>; SHARD_COUNT as usize],
+    shards: [Shard; SHARD_COUNT as usize],
+}
+
+/// One lock shard of the table, with its version.
+#[derive(Debug, Default)]
+struct Shard {
+    version: AtomicU64,
+    objects: RwLock<HashMap<u64, Arc<dyn RemoteObject>>>,
+}
+
+impl Shard {
+    /// Applies a mutation under the write lock and bumps the version
+    /// before the lock is released. The `Release` bump pairs with the
+    /// `Acquire` loads in [`ObjectTable::version`]: a thread that reads
+    /// the new version also sees the mutated map.
+    fn mutate<R>(&self, f: impl FnOnce(&mut HashMap<u64, Arc<dyn RemoteObject>>) -> R) -> R {
+        let mut objects = self.objects.write();
+        let result = f(&mut objects);
+        self.version.fetch_add(1, Ordering::Release);
+        result
+    }
 }
 
 impl std::fmt::Debug for dyn RemoteObject {
@@ -43,7 +70,7 @@ impl Default for ObjectTable {
     fn default() -> Self {
         ObjectTable {
             next_id: AtomicU64::new(1),
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Shard::default()),
         }
     }
 }
@@ -54,7 +81,7 @@ impl ObjectTable {
         ObjectTable::default()
     }
 
-    fn shard(&self, id: u64) -> &RwLock<HashMap<u64, Arc<dyn RemoteObject>>> {
+    fn shard(&self, id: u64) -> &Shard {
         &self.shards[(id & (SHARD_COUNT - 1)) as usize]
     }
 
@@ -66,14 +93,15 @@ impl ObjectTable {
     /// paper measures.
     pub fn export(&self, object: Arc<dyn RemoteObject>) -> ObjectId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shard(id).write().insert(id, object);
+        self.shard(id).mutate(|objects| objects.insert(id, object));
         ObjectId(id)
     }
 
     /// Installs an object at a specific id, replacing any previous occupant.
     /// Used by the server to place the registry at [`ObjectId::REGISTRY`].
     pub fn install(&self, id: ObjectId, object: Arc<dyn RemoteObject>) {
-        self.shard(id.0).write().insert(id.0, object);
+        self.shard(id.0)
+            .mutate(|objects| objects.insert(id.0, object));
     }
 
     /// The id the next [`ObjectTable::export`] will assign.
@@ -92,22 +120,50 @@ impl ObjectTable {
 
     /// Looks up a live object.
     pub fn get(&self, id: ObjectId) -> Option<Arc<dyn RemoteObject>> {
-        self.shard(id.0).read().get(&id.0).cloned()
+        self.shard(id.0).objects.read().get(&id.0).cloned()
+    }
+
+    /// Looks up a live object together with the version of its shard at
+    /// the time of the lookup (see [`ObjectTable::version`]).
+    pub fn get_versioned(&self, id: ObjectId) -> (Option<Arc<dyn RemoteObject>>, u64) {
+        let shard = self.shard(id.0);
+        let objects = shard.objects.read();
+        // Writers bump the version under the write lock, so it cannot move
+        // while this read guard is held.
+        (
+            objects.get(&id.0).cloned(),
+            shard.version.load(Ordering::Acquire),
+        )
+    }
+
+    /// The current version of the shard holding `id`. It changes whenever
+    /// an object is exported into, installed in or unexported from that
+    /// shard, so an unchanged version proves an earlier
+    /// [`ObjectTable::get_versioned`] result for `id` is still current.
+    pub fn version(&self, id: ObjectId) -> u64 {
+        self.shard(id.0).version.load(Ordering::Acquire)
     }
 
     /// Removes an object from the table. Returns true when it was present.
     pub fn unexport(&self, id: ObjectId) -> bool {
-        self.shard(id.0).write().remove(&id.0).is_some()
+        self.shard(id.0)
+            .mutate(|objects| objects.remove(&id.0))
+            .is_some()
     }
 
     /// Number of exported objects (including the registry once installed).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|shard| shard.objects.read().len())
+            .sum()
     }
 
     /// True when nothing is exported.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().is_empty())
+        self.shards
+            .iter()
+            .all(|shard| shard.objects.read().is_empty())
     }
 }
 
@@ -220,6 +276,37 @@ mod tests {
         for id in &ids[128..] {
             assert!(table.get(*id).is_some());
         }
+    }
+
+    #[test]
+    fn every_mutation_of_a_shard_moves_its_version() {
+        let table = ObjectTable::new();
+        let id = table.export(Arc::new(Dummy("x")));
+        let (found, version) = table.get_versioned(id);
+        assert!(found.is_some());
+        assert_eq!(table.version(id), version);
+        table.install(id, Arc::new(Dummy("y")));
+        let reinstalled = table.version(id);
+        assert_ne!(reinstalled, version);
+        assert!(table.unexport(id));
+        assert_ne!(table.version(id), reinstalled);
+        // The next export into the same shard moves it again.
+        let before = table.version(id);
+        let same_shard = (0..SHARD_COUNT)
+            .map(|_| table.export(Arc::new(Dummy("z"))))
+            .find(|other| other.0 % SHARD_COUNT == id.0 % SHARD_COUNT)
+            .unwrap();
+        assert_ne!(table.version(same_shard), before);
+    }
+
+    #[test]
+    fn mutations_elsewhere_leave_a_shard_version_alone() {
+        let table = ObjectTable::new();
+        let id = table.export(Arc::new(Dummy("x")));
+        let version = table.version(id);
+        let other = table.export(Arc::new(Dummy("y")));
+        assert!(table.unexport(other));
+        assert_eq!(table.version(id), version);
     }
 
     #[test]
